@@ -24,12 +24,13 @@ vet:
 # The race detector over the packages that exercise concurrency: the
 # server's limiter/timeout/shutdown paths, the retrying client, the
 # metrics registry, the trace machinery probed by the fuzz-derived
-# robustness tests, the sharded severity kernels in internal/core, and
+# robustness tests, the sharded severity kernels in internal/core, the
+# parallel CUBE XML reader and sharded writer in internal/cubexml, and
 # the experiment store's fault-injection suite. The wide-event suites
 # (concurrent kernel-shard emission, the event ring, the SLO bucket
 # ring) live in these same packages and ride along.
 race:
-	$(GO) test -race ./internal/server/... ./internal/trace/... ./client/... ./internal/obs/... ./internal/core/... ./internal/store/... ./internal/expr/...
+	$(GO) test -race ./internal/server/... ./internal/trace/... ./client/... ./internal/obs/... ./internal/core/... ./internal/cubexml/... ./internal/store/... ./internal/expr/...
 
 bench:
 	$(GO) test -bench=$(BENCH_PATTERN) -benchmem -run=^$$ .

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -443,22 +444,88 @@ func (e *Experiment) EachSeverity(fn func(m *Metric, c *CallNode, t *Thread, v f
 // row's per-thread values densely (absent tuples as zero). vals is reused
 // between calls and is only valid for the duration of one call. Returning
 // false stops the iteration. Like EachSeverity, the walk runs off the
-// cached columnar lowering; this is the egress seam the fast XML writer
-// streams severity matrices from without materialising the map view.
+// cached columnar lowering without materialising the map view. It is the
+// single-range case of SeverityRanges.
 func (e *Experiment) EachSeverityRow(fn func(mi, ci int, vals []float64) bool) {
+	for _, r := range e.SeverityRanges(1) {
+		r.EachRow(fn)
+	}
+}
+
+// minRangeRows is the fewest rows an automatically sized SeverityRange
+// covers: below it, starting a goroutine costs more than the row work it
+// would take off another core.
+const minRangeRows = 128
+
+// SeverityRange is a contiguous run of whole (metric, call node) rows of
+// an experiment's lowered severity block. It holds the block itself, so
+// walking it reads no experiment state and ranges of one experiment may be
+// walked concurrently.
+type SeverityRange struct {
+	b      *sevBlock
+	lo, hi int
+}
+
+// SeverityRanges splits the severity store into row-aligned ranges that
+// partition it in canonical order: walking them in order visits exactly
+// the rows EachSeverityRow visits. With n > 0 it returns exactly n ranges,
+// some empty when n exceeds the row count. With n <= 0 it picks up to
+// GOMAXPROCS ranges of at least minRangeRows rows each (rows counted at
+// their densest, one tuple per thread, so sparse rows only make ranges
+// longer). It returns nil when there is nothing to walk: no threads or
+// no stored tuples.
+//
+// The range boundaries come from splitting the tuples evenly and moving
+// each cut forward to the next row start, which costs at most one row's
+// worth of key comparisons per cut.
+func (e *Experiment) SeverityRanges(n int) []SeverityRange {
 	b := e.loweredBlock()
-	nT := len(e.threads)
-	if nT == 0 || b.len() == 0 {
+	if len(e.threads) == 0 || b.len() == 0 {
+		return nil
+	}
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+		if most := b.len() / (minRangeRows * int(b.nT)); n > most {
+			n = most
+		}
+		if n < 1 {
+			n = 1
+		}
+	}
+	out := make([]SeverityRange, n)
+	lo := 0
+	for k := range out {
+		hi := b.len() * (k + 1) / n
+		if hi < lo {
+			hi = lo
+		}
+		for hi > 0 && hi < b.len() && b.key[hi]/b.nT == b.key[hi-1]/b.nT {
+			hi++
+		}
+		out[k] = SeverityRange{b: b, lo: lo, hi: hi}
+		lo = hi
+	}
+	return out
+}
+
+// Tuples returns the number of stored tuples in the range.
+func (r SeverityRange) Tuples() int { return r.hi - r.lo }
+
+// EachRow calls fn for every row of the range, in enumeration order, with
+// the same contract as EachSeverityRow.
+func (r SeverityRange) EachRow(fn func(mi, ci int, vals []float64) bool) {
+	if r.hi == r.lo {
 		return
 	}
-	vals := make([]float64, nT)
-	for i := 0; i < b.len(); {
+	b := r.b
+	vals := make([]float64, b.nT)
+	for i := r.lo; i < r.hi; {
 		row := b.key[i] / b.nT // packed (metric, call node) of this row
 		for t := range vals {
 			vals[t] = 0
 		}
 		j := i
-		for ; j < b.len() && b.key[j]/b.nT == row; j++ {
+		for ; j < r.hi && b.key[j]/b.nT == row; j++ {
 			vals[b.key[j]%b.nT] = b.val[j]
 		}
 		if !fn(int(row/b.nC), int(row%b.nC), vals) {

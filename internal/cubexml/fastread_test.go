@@ -117,19 +117,19 @@ func TestEngineEquivalenceCorpus(t *testing.T) {
 		"err order":         metaDoc(`<severity><matrix metric="0"><row cnode="0">bad 2</row></matrix><matrix metric="9"><row cnode="0">1 2</row></matrix></severity>`),
 
 		// Outside the fast-path subset: must silently fall back.
-		"entity in row":      metaDoc(`<severity><matrix metric="0"><row cnode="0">&#49; 2</row></matrix></severity>`),
-		"entity named":       metaDoc(`<severity><matrix metric="0"><row cnode="0">1&amp;2 2</row></matrix></severity>`),
-		"comment in sev":     metaDoc(`<severity><!-- c --><matrix metric="0"><row cnode="0">1 2</row></matrix></severity>`),
-		"pi in severity":     metaDoc(`<severity><?p?><matrix metric="0"><row cnode="0">1 2</row></matrix></severity>`),
-		"cdata in row":       metaDoc(`<severity><matrix metric="0"><row cnode="0"><![CDATA[1]]> 2</row></matrix></severity>`),
-		"dup matrices":       metaDoc(`<severity><matrix metric="0"><row cnode="0">1 2</row></matrix><matrix metric="0"><row cnode="0">3 4</row></matrix></severity>`),
-		"dup rows":           metaDoc(`<severity><matrix metric="0"><row cnode="0">1 2</row><row cnode="0">3 4</row></matrix></severity>`),
-		"vertical tab":       metaDoc("<severity><matrix metric=\"0\"><row cnode=\"0\">1\v2</row></matrix></severity>"),
-		"non-ascii row":      metaDoc(`<severity><matrix metric="0"><row cnode="0">1…2</row></matrix></severity>`),
-		"doctype":            "<!DOCTYPE cube>" + metaDoc(``),
-		"utf8 names":         strings.Replace(metaDoc(``), "<title>eq</title>", "<title>héllo &amp; 日本</title>", 1),
-		"cdata title":        strings.Replace(metaDoc(``), "<title>eq</title>", "<title><![CDATA[raw <stuff>]]></title>", 1),
-		"comment meta":       strings.Replace(metaDoc(``), "<metrics>", "<!-- c --><metrics>", 1),
+		"entity in row":  metaDoc(`<severity><matrix metric="0"><row cnode="0">&#49; 2</row></matrix></severity>`),
+		"entity named":   metaDoc(`<severity><matrix metric="0"><row cnode="0">1&amp;2 2</row></matrix></severity>`),
+		"comment in sev": metaDoc(`<severity><!-- c --><matrix metric="0"><row cnode="0">1 2</row></matrix></severity>`),
+		"pi in severity": metaDoc(`<severity><?p?><matrix metric="0"><row cnode="0">1 2</row></matrix></severity>`),
+		"cdata in row":   metaDoc(`<severity><matrix metric="0"><row cnode="0"><![CDATA[1]]> 2</row></matrix></severity>`),
+		"dup matrices":   metaDoc(`<severity><matrix metric="0"><row cnode="0">1 2</row></matrix><matrix metric="0"><row cnode="0">3 4</row></matrix></severity>`),
+		"dup rows":       metaDoc(`<severity><matrix metric="0"><row cnode="0">1 2</row><row cnode="0">3 4</row></matrix></severity>`),
+		"vertical tab":   metaDoc("<severity><matrix metric=\"0\"><row cnode=\"0\">1\v2</row></matrix></severity>"),
+		"non-ascii row":  metaDoc(`<severity><matrix metric="0"><row cnode="0">1…2</row></matrix></severity>`),
+		"doctype":        "<!DOCTYPE cube>" + metaDoc(``),
+		"utf8 names":     strings.Replace(metaDoc(``), "<title>eq</title>", "<title>héllo &amp; 日本</title>", 1),
+		"cdata title":    strings.Replace(metaDoc(``), "<title>eq</title>", "<title><![CDATA[raw <stuff>]]></title>", 1),
+		"comment meta":   strings.Replace(metaDoc(``), "<metrics>", "<!-- c --><metrics>", 1),
 
 		// Structural and metadata errors (canonical text via fallback).
 		"wrong version":   `<cube version="cube-go-99"></cube>`,

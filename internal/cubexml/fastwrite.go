@@ -1,13 +1,13 @@
 package cubexml
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"sync"
 
 	"cube/internal/core"
 )
@@ -16,25 +16,48 @@ import (
 // need escaping — still goes through encoding/xml via the shared
 // buildDocMeta, so its bytes are the encoder's bytes by construction. The
 // severity section — the bulk of any real file — is emitted by hand from
-// the columnar store (core.EachSeverityRow): buffered writer, alloc-free
-// value formatting (appendValue), no intermediate row strings, no
-// pointer-keyed map materialisation. The two halves are joined by
-// splicing the severity block in front of the encoder's closing </cube>
-// tag; the differential test in fastwrite_test.go pins writeFast to
-// writeLegacy byte for byte.
+// the columnar store in one parallel pass, the mirror of the reader's
+// parseMatrices:
+//
+//   - core.SeverityRanges splits the lowered block into row-aligned
+//     shards, up to GOMAXPROCS of them;
+//   - each shard's worker appends its rows straight into its own []byte
+//     with appendValue (alloc-free formatting, no per-value writer call)
+//     and, in the same pass, records the first non-finite value it meets;
+//   - the shards are stitched in order, with <matrix> tags emitted only
+//     where a shard's first metric differs from the previous non-empty
+//     shard's last.
+//
+// Nothing reaches w until every shard has finished. A non-finite value
+// returns the legacy writer's error for the first offender in (metric,
+// call node, thread) order with zero bytes written, so an encoding error
+// never leaves a truncated file behind. The metadata and severity halves
+// are joined by splicing the severity block in front of the encoder's
+// closing </cube> tag; the differential tests in fastwrite_test.go pin
+// writeFast to writeLegacy byte for byte at forced shard counts.
 
 func writeFast(w io.Writer, e *core.Experiment) error {
+	return writeFastShards(w, e, 0)
+}
+
+// writeFastShards is writeFast with the severity section split into
+// exactly shards ranges; 0 lets core.SeverityRanges choose. Only tests
+// force a count.
+func writeFastShards(w io.Writer, e *core.Experiment, shards int) error {
 	metrics, cnodes, threads := e.Metrics(), e.CallNodes(), e.Threads()
 	// The legacy dense walk visits nothing when any severity dimension is
 	// empty, so neither does the fast path — even if an (invalid)
 	// experiment stores tuples.
-	writeSev := len(metrics) > 0 && len(cnodes) > 0 && len(threads) > 0
-	if writeSev {
-		// Reject non-finite values before emitting any bytes: the legacy
-		// writer builds the whole document first, so its errors never
-		// leave a truncated file behind, and neither may ours.
-		if err := checkEncodable(e, metrics, cnodes); err != nil {
-			return err
+	var parts []sevShard
+	if len(metrics) > 0 && len(cnodes) > 0 && len(threads) > 0 {
+		parts = emitShards(e.SeverityRanges(shards))
+		// Ranges partition the block in canonical order, so the first
+		// shard that met a non-finite value holds the first offender.
+		for _, p := range parts {
+			if p.bad {
+				return fmt.Errorf("cubexml: severity of metric %q at %q is %v; refusing to encode non-finite values",
+					metrics[p.badMI].Name, cnodes[p.badCI].Path(), p.badV)
+			}
 		}
 	}
 
@@ -59,50 +82,83 @@ func writeFast(w io.Writer, e *core.Experiment) error {
 		return writeLegacy(w, e)
 	}
 
-	bw := bufio.NewWriterSize(w, 64<<10)
-	bw.Write(out[:splice])
-	opened := false
-	if writeSev {
-		opened = emitSeverity(bw, e)
-	}
-	if !opened {
-		bw.WriteString("\n  <severity></severity>")
-	}
-	bw.WriteString("\n</cube>\n")
-	// bufio errors are sticky; one check at the end covers every write.
-	return bw.Flush()
-}
-
-// checkEncodable scans the severity store for non-finite values in the
-// same (metric, call node, thread) order as the legacy dense walk, so the
-// first offender — and therefore the error message — is identical.
-func checkEncodable(e *core.Experiment, metrics []*core.Metric, cnodes []*core.CallNode) error {
-	var err error
-	e.EachSeverityRow(func(mi, ci int, vals []float64) bool {
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				err = fmt.Errorf("cubexml: severity of metric %q at %q is %v; refusing to encode non-finite values",
-					metrics[mi].Name, cnodes[ci].Path(), v)
-				return false
-			}
+	// Stitch: the head of the metadata document, then the shards in
+	// order, opening a matrix only where a shard starts on a metric the
+	// previous non-empty shard did not end on.
+	var stitched [][]byte
+	stitched = append(stitched, out[:splice])
+	cur := -1
+	for _, p := range parts {
+		if p.first < 0 {
+			continue
 		}
-		return true
-	})
-	return err
+		var tag []byte
+		if cur < 0 {
+			tag = append(tag, "\n  <severity>"...)
+		}
+		if p.first != cur {
+			if cur >= 0 {
+				tag = append(tag, "\n    </matrix>"...)
+			}
+			tag = appendMatrixOpen(tag, p.first)
+		}
+		stitched = append(stitched, tag, p.buf)
+		cur = p.last
+	}
+	if cur >= 0 {
+		stitched = append(stitched, []byte("\n    </matrix>\n  </severity>\n</cube>\n"))
+	} else {
+		stitched = append(stitched, []byte("\n  <severity></severity>\n</cube>\n"))
+	}
+	for _, b := range stitched {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// emitSeverity streams the severity section in the encoder's layout: one
-// matrix per metric with stored rows, one row per call node, values
-// space-separated in thread order, all-zero rows and matrices omitted.
-// Row iteration order (metric, then call node enumeration order) is
-// exactly the matrix order the legacy writer produces. It reports whether
-// it wrote anything; with no non-zero rows the caller emits the empty
-// wrapper instead.
-func emitSeverity(bw *bufio.Writer, e *core.Experiment) bool {
-	opened := false
-	curMetric := -1
-	var buf []byte // number scratch, reused across the whole section
-	e.EachSeverityRow(func(mi, ci int, vals []float64) bool {
+// sevShard is one worker's share of the severity section: its rows in the
+// encoder's layout, with matrix transitions between its own rows already
+// emitted but neither the opening tag of its first matrix nor the closing
+// tag of its last.
+type sevShard struct {
+	buf         []byte
+	first, last int // metric index of the first and last emitted row; -1 when none
+
+	// The first non-finite value in the shard, if any.
+	bad          bool
+	badMI, badCI int
+	badV         float64
+}
+
+// emitShards formats every range concurrently, one goroutine per range
+// beyond the first, which runs on the caller's goroutine.
+func emitShards(ranges []core.SeverityRange) []sevShard {
+	parts := make([]sevShard, len(ranges))
+	var wg sync.WaitGroup
+	for i := 1; i < len(ranges); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			parts[i] = emitRange(ranges[i])
+		}(i)
+	}
+	if len(ranges) > 0 {
+		parts[0] = emitRange(ranges[0])
+	}
+	wg.Wait()
+	return parts
+}
+
+// emitRange formats one range's rows: one row per call node, values
+// space-separated in thread order, all-zero rows omitted. It stops at the
+// first non-finite value, which makes the whole document an error.
+func emitRange(r core.SeverityRange) sevShard {
+	// Most values format to well under 16 bytes; append grows the rest.
+	s := sevShard{buf: make([]byte, 0, 16*r.Tuples()), first: -1, last: -1}
+	buf := s.buf
+	r.EachRow(func(mi, ci int, vals []float64) bool {
 		nonZero := false
 		for _, v := range vals {
 			if v != 0 {
@@ -113,39 +169,35 @@ func emitSeverity(bw *bufio.Writer, e *core.Experiment) bool {
 		if !nonZero {
 			return true
 		}
-		if !opened {
-			bw.WriteString("\n  <severity>")
-			opened = true
+		if s.first < 0 {
+			s.first = mi
+		} else if mi != s.last {
+			buf = append(buf, "\n    </matrix>"...)
+			buf = appendMatrixOpen(buf, mi)
 		}
-		if mi != curMetric {
-			if curMetric >= 0 {
-				bw.WriteString("\n    </matrix>")
-			}
-			bw.WriteString("\n    <matrix metric=\"")
-			buf = strconv.AppendInt(buf[:0], int64(mi), 10)
-			bw.Write(buf)
-			bw.WriteString("\">")
-			curMetric = mi
-		}
-		bw.WriteString("\n      <row cnode=\"")
-		buf = strconv.AppendInt(buf[:0], int64(ci), 10)
-		bw.Write(buf)
-		bw.WriteString("\">")
+		s.last = mi
+		buf = append(buf, "\n      <row cnode=\""...)
+		buf = strconv.AppendInt(buf, int64(ci), 10)
+		buf = append(buf, "\">"...)
 		for ti, v := range vals {
-			if ti > 0 {
-				bw.WriteByte(' ')
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				s.bad, s.badMI, s.badCI, s.badV = true, mi, ci, v
+				return false
 			}
-			buf = appendValue(buf[:0], v)
-			bw.Write(buf)
+			if ti > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = appendValue(buf, v)
 		}
-		bw.WriteString("</row>")
+		buf = append(buf, "</row>"...)
 		return true
 	})
-	if curMetric >= 0 {
-		bw.WriteString("\n    </matrix>")
-	}
-	if opened {
-		bw.WriteString("\n  </severity>")
-	}
-	return opened
+	s.buf = buf
+	return s
+}
+
+func appendMatrixOpen(dst []byte, mi int) []byte {
+	dst = append(dst, "\n    <matrix metric=\""...)
+	dst = strconv.AppendInt(dst, int64(mi), 10)
+	return append(dst, "\">"...)
 }

@@ -8,28 +8,47 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"cube/internal/core"
+	"cube/internal/synth"
 )
 
 // checkWriteEquivalent asserts the fast writer produces byte-identical
-// output to the legacy encoding/xml writer, or fails with the same error.
+// output to the legacy encoding/xml writer, or fails with the same error
+// and writes nothing, at the automatic shard count and at forced counts
+// of 1, 2, 3, 7 and one more than the experiment's row count.
 func checkWriteEquivalent(t *testing.T, name string, e *core.Experiment) {
 	t.Helper()
-	var fast, legacy bytes.Buffer
-	errf := writeFast(&fast, e)
+	rows := 0
+	e.EachSeverityRow(func(int, int, []float64) bool { rows++; return true })
+	checkWriteShards(t, name, e, 0, 1, 2, 3, 7, rows+1)
+}
+
+// checkWriteShards is checkWriteEquivalent at the given shard counts; 0
+// means the automatic count.
+func checkWriteShards(t *testing.T, name string, e *core.Experiment, shards ...int) {
+	t.Helper()
+	var legacy bytes.Buffer
 	errl := writeLegacy(&legacy, e)
-	switch {
-	case (errf == nil) != (errl == nil):
-		t.Errorf("%s: writers disagree:\nfast:   %v\nlegacy: %v", name, errf, errl)
-	case errf != nil:
-		if errf.Error() != errl.Error() {
-			t.Errorf("%s: error text differs:\nfast:   %v\nlegacy: %v", name, errf, errl)
+	for _, n := range shards {
+		var fast bytes.Buffer
+		errf := writeFastShards(&fast, e, n)
+		switch {
+		case (errf == nil) != (errl == nil):
+			t.Errorf("%s, %d shards: writers disagree:\nfast:   %v\nlegacy: %v", name, n, errf, errl)
+		case errf != nil:
+			if errf.Error() != errl.Error() {
+				t.Errorf("%s, %d shards: error text differs:\nfast:   %v\nlegacy: %v", name, n, errf, errl)
+			}
+			if fast.Len() != 0 {
+				t.Errorf("%s, %d shards: %d bytes written before the error", name, n, fast.Len())
+			}
+		case !bytes.Equal(fast.Bytes(), legacy.Bytes()):
+			t.Errorf("%s, %d shards: output differs\n%s", name, n, firstDiff(fast.Bytes(), legacy.Bytes()))
 		}
-	case !bytes.Equal(fast.Bytes(), legacy.Bytes()):
-		t.Errorf("%s: output differs\nfast:\n%s\nlegacy:\n%s", name, firstDiff(fast.Bytes(), legacy.Bytes()), legacy.String())
 	}
 }
 
@@ -222,9 +241,12 @@ func BenchmarkReadInfo(b *testing.B) {
 	}
 }
 
-func benchmarkWrite(b *testing.B, w func(io.Writer, *core.Experiment) error) {
-	e, data := benchExperiment(b)
-	b.SetBytes(int64(len(data)))
+func benchmarkWrite(b *testing.B, e *core.Experiment, w func(io.Writer, *core.Experiment) error) {
+	var buf bytes.Buffer
+	if err := Write(&buf, e); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -234,8 +256,20 @@ func benchmarkWrite(b *testing.B, w func(io.Writer, *core.Experiment) error) {
 	}
 }
 
-func BenchmarkWriteFast(b *testing.B)   { benchmarkWrite(b, writeFast) }
-func BenchmarkWriteLegacy(b *testing.B) { benchmarkWrite(b, writeLegacy) }
+func benchmarkWriteSizes(b *testing.B, w func(io.Writer, *core.Experiment) error) {
+	b.Run("bench", func(b *testing.B) {
+		e, _ := benchExperiment(b)
+		benchmarkWrite(b, e, w)
+	})
+	b.Run("64x512x64", func(b *testing.B) {
+		e := synth.Experiment(64, 512, 64, 0)
+		e.CompactSeverities()
+		benchmarkWrite(b, e, w)
+	})
+}
+
+func BenchmarkWriteFast(b *testing.B)   { benchmarkWriteSizes(b, writeFast) }
+func BenchmarkWriteLegacy(b *testing.B) { benchmarkWriteSizes(b, writeLegacy) }
 
 // TestBenchDocInFastSubset keeps the benchmark honest: if the benchmark
 // document ever falls out of the fast-path subset, BenchmarkReadFast
@@ -248,4 +282,142 @@ func TestBenchDocInFastSubset(t *testing.T) {
 	if _, err := ReadBytes(context.Background(), data, ReadOptions{Limits: DefaultLimits, Engine: EngineFast}); err != nil {
 		t.Fatalf("benchmark document outside fast subset: %v", err)
 	}
+}
+
+// ingested builds an experiment of nM metrics, nC call nodes and nT
+// threads whose every row is stored in full, through the ingest seam so
+// that rows may hold explicit zeros. value gives each tuple's value.
+func ingested(nM, nC, nT int, value func(mi, ci, ti int) float64) *core.Experiment {
+	e := core.New("ingested")
+	for i := 0; i < nM; i++ {
+		e.NewMetric(fmt.Sprintf("m%d", i), core.Seconds, "")
+	}
+	r := e.NewRegion("main", "app", 0, 0)
+	root := e.NewCallRoot(e.NewCallSite("app", 0, r))
+	for i := 1; i < nC; i++ {
+		root.NewChild(e.NewCallSite("app", i, r))
+	}
+	e.Invalidate()
+	e.SingleThreadedSystem("m", 1, nT)
+	ing := e.NewSeverityIngest()
+	var keys []uint64
+	var vals []float64
+	for mi := 0; mi < nM; mi++ {
+		for ci := 0; ci < nC; ci++ {
+			for ti := 0; ti < nT; ti++ {
+				keys = append(keys, ing.RowKey(mi, ci)+uint64(ti))
+				vals = append(vals, value(mi, ci, ti))
+			}
+		}
+	}
+	ing.Commit(keys, vals, true)
+	return e
+}
+
+// TestWriteShardBoundaries walks every shard count from 1 to past the row
+// count over small documents, so cuts land inside one metric's matrix, on
+// matrix edges, next to all-zero rows, and on shards that emit nothing.
+func TestWriteShardBoundaries(t *testing.T) {
+	const nM, nC, nT = 3, 4, 2
+	cases := map[string]func(mi, ci, ti int) float64{
+		"dense": func(mi, ci, ti int) float64 { return float64(mi*100+ci*10+ti) + 0.5 },
+		// Every other row is all zero, so some cut always falls next to one.
+		"alternating zero rows": func(mi, ci, ti int) float64 {
+			if (mi*nC+ci)%2 == 1 {
+				return 0
+			}
+			return float64(ci + 1)
+		},
+		// Only the first and last rows carry values: the shards between
+		// them emit nothing, and the stitcher must still close and open
+		// the right matrices.
+		"empty middle": func(mi, ci, ti int) float64 {
+			if (mi == 0 && ci == 0) || (mi == nM-1 && ci == nC-1) {
+				return -2.25
+			}
+			return 0
+		},
+		// Whole matrices of zeros between non-zero ones.
+		"zero metric": func(mi, ci, ti int) float64 {
+			if mi == 1 {
+				return 0
+			}
+			return 1e15 + float64(ti)
+		},
+		"all zero": func(mi, ci, ti int) float64 { return 0 },
+	}
+	var counts []int
+	for n := 1; n <= nM*nC+2; n++ {
+		counts = append(counts, n)
+	}
+	for name, value := range cases {
+		checkWriteShards(t, name, ingested(nM, nC, nT, value), counts...)
+	}
+}
+
+// TestWriteNonFiniteInLastShard puts a non-finite value in the final
+// tuple, which the last shard formats while earlier shards finish
+// cleanly: the error must still be the legacy text and nothing may reach
+// the writer. With a second offender in an earlier shard, that one must
+// name the error.
+func TestWriteNonFiniteInLastShard(t *testing.T) {
+	const nM, nC, nT = 4, 8, 3
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := ingested(nM, nC, nT, func(mi, ci, ti int) float64 {
+			if mi == nM-1 && ci == nC-1 && ti == nT-1 {
+				return bad
+			}
+			return float64(mi + ci + ti + 1)
+		})
+		checkWriteShards(t, fmt.Sprint(bad), e, 1, 2, 3, 7, nM*nC+1)
+	}
+	// Two offenders in different shards: the earlier one names the error.
+	e := ingested(nM, nC, nT, func(mi, ci, ti int) float64 {
+		switch {
+		case mi == 1 && ci == 2 && ti == 0:
+			return math.NaN()
+		case mi == nM-1 && ci == nC-1 && ti == nT-1:
+			return math.Inf(-1)
+		}
+		return 1
+	})
+	checkWriteShards(t, "two offenders", e, 1, 2, 3, 7, nM*nC+1)
+}
+
+// TestWriteSyntheticLarge pins the 64×512×64 benchmark document, where
+// the automatic count really shards, to the legacy writer.
+func TestWriteSyntheticLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64x512x64 legacy encode is slow")
+	}
+	checkWriteShards(t, "64x512x64", synth.Experiment(64, 512, 64, 0), 0, 1, 2, 3, 7)
+}
+
+// TestWriteConcurrentShared writes one compacted experiment — the state
+// the server's parse cache shares between requests — from several
+// goroutines at once. Run under -race it checks that the sharded writer
+// only ever reads the experiment.
+func TestWriteConcurrentShared(t *testing.T) {
+	e := synth.Experiment(8, 64, 16, 0)
+	e.CompactSeverities()
+	var want bytes.Buffer
+	if err := writeFastShards(&want, e, 1); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var got bytes.Buffer
+			if err := writeFastShards(&got, e, g+2); err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("goroutine %d: %s", g, firstDiff(got.Bytes(), want.Bytes()))
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -84,8 +84,11 @@ func (pc *parseCache) count(name string) {
 
 // get returns an experiment for the operand bytes — a private clone the
 // caller may mutate freely — parsing at most once per distinct content.
-func (pc *parseCache) get(ctx context.Context, data []byte) (*core.Experiment, error) {
-	return pc.resolve(ctx, data, false)
+// key is the SHA-256 of data; callers hash each upload once and reuse the
+// digest they already verified (or, for store reads, the digest the store
+// verified on read).
+func (pc *parseCache) get(ctx context.Context, key [sha256.Size]byte, data []byte) (*core.Experiment, error) {
+	return pc.resolve(ctx, key, data, false)
 }
 
 // shared returns the cached master itself when it is columnar-only —
@@ -93,13 +96,13 @@ func (pc *parseCache) get(ctx context.Context, data []byte) (*core.Experiment, e
 // a private clone otherwise. The caller must treat the result as strictly
 // read-only; the expression engine's operand contract (operators never
 // mutate operands) is what makes this safe.
-func (pc *parseCache) shared(ctx context.Context, data []byte) (*core.Experiment, error) {
-	return pc.resolve(ctx, data, true)
+func (pc *parseCache) shared(ctx context.Context, key [sha256.Size]byte, data []byte) (*core.Experiment, error) {
+	return pc.resolve(ctx, key, data, true)
 }
 
-func (pc *parseCache) resolve(ctx context.Context, data []byte, wantShared bool) (*core.Experiment, error) {
+func (pc *parseCache) resolve(ctx context.Context, key [sha256.Size]byte, data []byte, wantShared bool) (*core.Experiment, error) {
 	sp, _ := obs.StartSpanContext(ctx, "cubexml.cache")
-	ent, outcome, err := pc.lookup(ctx, data)
+	ent, outcome, err := pc.lookup(ctx, key, data)
 	if sp != nil {
 		sp.SetAttr("outcome", outcome)
 		sp.SetAttr("bytes", int64(len(data)))
@@ -138,8 +141,7 @@ func (pc *parseCache) resolve(ctx context.Context, data []byte, wantShared bool)
 	return ent.e.Clone(), nil
 }
 
-func (pc *parseCache) lookup(ctx context.Context, data []byte) (cacheEntry, string, error) {
-	key := sha256.Sum256(data)
+func (pc *parseCache) lookup(ctx context.Context, key [sha256.Size]byte, data []byte) (cacheEntry, string, error) {
 	pc.mu.Lock()
 	if el, ok := pc.entries[key]; ok {
 		pc.lru.MoveToFront(el)

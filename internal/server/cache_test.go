@@ -38,11 +38,11 @@ func TestParseCacheHitMiss(t *testing.T) {
 	want := buildExp("cached", 0)
 	data := encodeExp(t, want)
 
-	first, err := pc.get(context.Background(), data)
+	first, err := pc.get(context.Background(), sha256.Sum256(data), data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := pc.get(context.Background(), data)
+	second, err := pc.get(context.Background(), sha256.Sum256(data), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestParseCacheHitMiss(t *testing.T) {
 	if second.Fingerprint() != want.Fingerprint() {
 		t.Error("mutating one cache result changed another")
 	}
-	third, err := pc.get(context.Background(), data)
+	third, err := pc.get(context.Background(), sha256.Sum256(data), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestParseCacheSingleflightWait(t *testing.T) {
 		fl.e = master
 		fl.wg.Done()
 	}()
-	got, err := pc.get(context.Background(), data)
+	got, err := pc.get(context.Background(), sha256.Sum256(data), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestParseCacheSingleflightWait(t *testing.T) {
 		flErr.err = wantErr
 		flErr.wg.Done()
 	}()
-	if _, err := pc.get(context.Background(), []byte("bad")); err != wantErr {
+	if _, err := pc.get(context.Background(), badKey, []byte("bad")); err != wantErr {
 		t.Errorf("waiter error = %v, want shared %v", err, wantErr)
 	}
 }
@@ -131,7 +131,7 @@ func TestParseCacheEviction(t *testing.T) {
 	budget := int64(len(docs[0])+len(docs[1])) + 16 // room for two, not three
 	pc := newParseCache(budget, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	for _, d := range docs {
-		if _, err := pc.get(context.Background(), d); err != nil {
+		if _, err := pc.get(context.Background(), sha256.Sum256(d), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestParseCacheEviction(t *testing.T) {
 		t.Error("most recent entry was evicted")
 	}
 	// Re-fetching the evicted operand is a miss again.
-	if _, err := pc.get(context.Background(), docs[0]); err != nil {
+	if _, err := pc.get(context.Background(), sha256.Sum256(docs[0]), docs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter(reg, "cube_parse_cache_misses_total"); got != 4 {
@@ -165,7 +165,7 @@ func TestParseCacheOversizedNotCached(t *testing.T) {
 	data := encodeExp(t, buildExp("big", 0))
 	pc := newParseCache(int64(len(data))-1, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	for i := 0; i < 2; i++ {
-		if _, err := pc.get(context.Background(), data); err != nil {
+		if _, err := pc.get(context.Background(), sha256.Sum256(data), data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestParseCacheErrorReachesAllWaiters(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func() {
 			started.Done()
-			e, err := pc.get(context.Background(), bad)
+			e, err := pc.get(context.Background(), sha256.Sum256(bad), bad)
 			results <- result{e, err}
 		}()
 	}
@@ -244,7 +244,7 @@ func TestParseCacheParseErrorNotCached(t *testing.T) {
 	bad := []byte("<cube this is not XML")
 	var lastErr error
 	for i := 0; i < 2; i++ {
-		if _, lastErr = pc.get(context.Background(), bad); lastErr == nil {
+		if _, lastErr = pc.get(context.Background(), sha256.Sum256(bad), bad); lastErr == nil {
 			t.Fatal("cache parsed garbage")
 		}
 	}
@@ -282,7 +282,7 @@ func TestParseCacheConcurrentMixed(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
 				k := r.Intn(len(docs))
-				e, err := pc.get(context.Background(), docs[k])
+				e, err := pc.get(context.Background(), sha256.Sum256(docs[k]), docs[k])
 				if err != nil {
 					t.Errorf("get: %v", err)
 					return
@@ -407,6 +407,72 @@ func TestHandlerCacheAndDigest(t *testing.T) {
 	}
 }
 
+// TestCorruptInlineUploadCounted: an inline operand damaged after the
+// client hashed it (the Content-Digest names the original bytes) is still
+// counted as a mismatch on /op and /expr, and the parse cache keys it on
+// the digest of the bytes actually received: the damaged document never
+// answers for the original.
+func TestCorruptInlineUploadCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := quietConfig()
+	cfg.Metrics = reg
+	srv := httptest.NewServer(NewHandler(cfg))
+	defer srv.Close()
+
+	orig := encodeExp(t, buildExp("original", 0))
+	corrupt := bytes.Replace(orig, []byte("original"), []byte("0riginal"), 1)
+	if bytes.Equal(orig, corrupt) {
+		t.Fatal("corruption did not change the document")
+	}
+	sent := digestOf(orig)
+
+	resp := postWithDigest(t, srv, "/op/flatten", corrupt, sent)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/op with corrupt upload: status %d: %s", resp.StatusCode, body)
+	}
+	if got := counter(reg, "cube_digest_mismatch_total"); got != 1 {
+		t.Errorf("/op: digest mismatches = %d, want 1", got)
+	}
+
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	mw.WriteField("expr", `{"op":"flatten","args":[{"ref":"operand:0"}]}`)
+	fw, err := mw.CreatePart(map[string][]string{
+		"Content-Disposition": {`form-data; name="operand"; filename="op.cube"`},
+		"Content-Digest":      {sent},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(corrupt)
+	mw.Close()
+	resp, err = http.Post(srv.URL+"/expr", mw.FormDataContentType(), &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/expr with corrupt upload: status %d: %s", resp.StatusCode, body)
+	}
+	if got := counter(reg, "cube_digest_mismatch_total"); got != 2 {
+		t.Errorf("/expr: digest mismatches = %d, want 2", got)
+	}
+	// The /expr operand was the corrupt bytes again: a hit on their own
+	// digest. The original bytes are a fresh miss.
+	if hits, misses := counter(reg, "cube_parse_cache_hits_total"), counter(reg, "cube_parse_cache_misses_total"); hits != 1 || misses != 1 {
+		t.Errorf("after corrupt uploads: hits %d misses %d, want 1 and 1", hits, misses)
+	}
+	resp = postWithDigest(t, srv, "/op/flatten", orig, sent)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/op with original: status %d: %s", resp.StatusCode, body)
+	}
+	if misses := counter(reg, "cube_parse_cache_misses_total"); misses != 2 {
+		t.Errorf("original after corrupt: misses = %d, want 2", misses)
+	}
+	if got := counter(reg, "cube_digest_mismatch_total"); got != 2 {
+		t.Errorf("intact upload counted as a mismatch: %d", got)
+	}
+}
+
 func TestHandlerCacheDisabled(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := quietConfig()
@@ -465,14 +531,14 @@ func BenchmarkParseCacheHit(b *testing.B) {
 	reg := obs.NewRegistry()
 	pc := newParseCache(1<<24, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	data := encodeExp(b, buildExp("bench", 0))
-	if _, err := pc.get(context.Background(), data); err != nil {
+	if _, err := pc.get(context.Background(), sha256.Sum256(data), data); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.get(context.Background(), data); err != nil {
+		if _, err := pc.get(context.Background(), sha256.Sum256(data), data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,7 +558,7 @@ func BenchmarkParseCacheMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.get(context.Background(), data); err != nil {
+		if _, err := pc.get(context.Background(), sha256.Sum256(data), data); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -212,7 +212,7 @@ func (s *service) exprResolver(operands []exprOperand, pinned *[]store.Digest) e
 				return s.resolveDigestLeaf(ctx, op.digest, pinned)
 			}
 			if s.cache != nil {
-				return s.cache.shared(ctx, op.data)
+				return s.cache.shared(ctx, op.digest, op.data)
 			}
 			return cubexml.ReadBytes(ctx, op.data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 		case expr.LeafDigest:
@@ -250,7 +250,8 @@ func (s *service) resolveDigestLeaf(ctx context.Context, d store.Digest, pinned 
 	ev.AddOperand("digest", int64(len(data)))
 	statsFrom(ctx).add(int64(len(data)))
 	if s.cache != nil {
-		return s.cache.shared(ctx, data)
+		// The store verified data against d on read: d is the cache key.
+		return s.cache.shared(ctx, d, data)
 	}
 	return cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 }
@@ -316,13 +317,14 @@ func (s *service) readExprBody(r *http.Request) ([]byte, []exprOperand, error) {
 				continue
 			}
 		}
+		d := store.DigestOf(data)
 		if err := s.verifyDigest(r.Context(), fmt.Sprintf("operand %d (%s)", i, fh.Filename),
-			fh.Header.Get("Content-Digest"), data); err != nil {
+			fh.Header.Get("Content-Digest"), d, len(data)); err != nil {
 			return nil, nil, err
 		}
 		stats.add(int64(len(data)))
 		ev.AddOperand("inline", int64(len(data)))
-		operands = append(operands, exprOperand{data: data, digest: store.DigestOf(data)})
+		operands = append(operands, exprOperand{data: data, digest: d})
 	}
 	return src, operands, nil
 }

@@ -16,7 +16,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -412,11 +411,12 @@ func (s *service) readOperands(r *http.Request) ([]*core.Experiment, error) {
 			if rerr != nil {
 				return nil, fmt.Errorf("operand %d: %w", i, rerr)
 			}
+			d := store.DigestOf(data)
 			if err := s.verifyDigest(r.Context(), fmt.Sprintf("operand %d (%s)", i, fh.Filename),
-				fh.Header.Get("Content-Digest"), data); err != nil {
+				fh.Header.Get("Content-Digest"), d, len(data)); err != nil {
 				return nil, err
 			}
-			e, err = s.cache.get(r.Context(), data)
+			e, err = s.cache.get(r.Context(), d, data)
 		} else {
 			e, err = cubexml.ReadWith(r.Context(), body, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 			f.Close()
@@ -430,13 +430,15 @@ func (s *service) readOperands(r *http.Request) ([]*core.Experiment, error) {
 }
 
 // verifyDigest checks an upload's Content-Digest header (RFC 9530, sent
-// by the bundled client) against the received bytes — trust but verify.
-// A mismatch means corruption somewhere between the sender's hashing and
+// by the bundled client) against got, the digest the server computed over
+// the received size bytes — trust but verify. The caller hashes each
+// upload once and passes the same digest on as the parse-cache key. A
+// mismatch means corruption somewhere between the sender's hashing and
 // us. By default it is logged and counted and the bytes are processed as
 // received (the cache keys on the server-computed digest regardless);
 // with Config.DigestStrict the mismatch is returned as an error and the
 // request is rejected instead.
-func (s *service) verifyDigest(ctx context.Context, what, header string, data []byte) error {
+func (s *service) verifyDigest(ctx context.Context, what, header string, got store.Digest, size int) error {
 	if header == "" {
 		return nil
 	}
@@ -444,7 +446,7 @@ func (s *service) verifyDigest(ctx context.Context, what, header string, data []
 	if !ok {
 		return nil // no sha-256 entry, or unparseable: nothing to check against
 	}
-	if sha256.Sum256(data) == want {
+	if got == want {
 		return nil
 	}
 	if s.reg != nil {
@@ -453,7 +455,7 @@ func (s *service) verifyDigest(ctx context.Context, what, header string, data []
 	s.logError(ctx, "content digest mismatch",
 		slog.String("what", what),
 		slog.Bool("strict", s.cfg.DigestStrict),
-		slog.Int64("bytes", int64(len(data))))
+		slog.Int("bytes", size))
 	if s.cfg.DigestStrict {
 		return fmt.Errorf("%s: Content-Digest header does not match the received bytes", what)
 	}

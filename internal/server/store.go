@@ -94,7 +94,8 @@ func (s *service) resolveDigestOperand(ctx context.Context, i int, d store.Diges
 	}
 	var e *core.Experiment
 	if s.cache != nil {
-		e, err = s.cache.get(ctx, data)
+		// The store verified data against d on read: d is the cache key.
+		e, err = s.cache.get(ctx, d, data)
 	} else {
 		e, err = cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 	}
@@ -174,7 +175,7 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 			"body hashes to %s, URL names %s: refusing to store corrupt upload", got, d)
 		return
 	}
-	if err := s.verifyDigest(r.Context(), "PUT /experiments", r.Header.Get("Content-Digest"), data); err != nil {
+	if err := s.verifyDigest(r.Context(), "PUT /experiments", r.Header.Get("Content-Digest"), d, len(data)); err != nil {
 		httpError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -183,7 +184,7 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 	// through the cache also pre-warms the entry the first digest
 	// reference will hit.
 	if s.cache != nil {
-		_, err = s.cache.get(r.Context(), data)
+		_, err = s.cache.get(r.Context(), d, data)
 	} else {
 		_, err = cubexml.ReadBytes(r.Context(), data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 	}
